@@ -22,7 +22,10 @@
 //!    and lazy per-replica horizons, with `speedup_vs_exact_cluster`
 //!    measured against the frozen exact-cluster reference constant and a
 //!    hard >= 100x floor in `--check`.
-//! 4. **Sweep parallelism** — wall-clock for an 8-point cluster sweep
+//! 4. **Tied event drain** — ns/event to push 16 384 arrivals at one
+//!    instant and drain them with `pop_due`, the offline-trace pattern in
+//!    which every event shares one calendar bucket (`queue_ties`).
+//! 5. **Sweep parallelism** — wall-clock for an 8-point cluster sweep
 //!    evaluated serially (`threads = 1`) vs on the ambient
 //!    [`dcm_core::par::thread_count`]. On a multi-core host the ratio
 //!    approaches the core count; `host_parallelism` is recorded so a
@@ -46,6 +49,7 @@
 
 use dcm_core::cast::usize_to_f64;
 use dcm_core::metrics::MetricsMode;
+use dcm_core::sim::EventQueue;
 use dcm_core::DeviceSpec;
 use dcm_net::{Collective, FlowTransport, MultiNodeFlowTransport};
 use dcm_vllm::attention::{BatchStats, PagedAttention, PagedBackend};
@@ -388,6 +392,28 @@ fn bench_fabric() -> FabricTiming {
     }
 }
 
+/// Events in the tied drain: an offline Dynamic-Sonnet trace's size.
+const TIED_EVENTS: usize = 16_384;
+
+/// Cost per event of a tied burst: `TIED_EVENTS` arrivals pushed at
+/// t = 0 and drained with `pop_due(0.0)`, the engine's promote-arrivals
+/// pattern on an offline trace. Every event lands in one calendar bucket,
+/// so this times the per-bucket selection alone: O(log k) per pop with
+/// the slot heaps, where a linear bucket scan makes the drain O(n²)
+/// (≈30 µs vs ≈0.17 µs per event on a 2-vCPU VM). Fixed size in every
+/// mode, so the band applies under `DCM_SMOKE` too.
+fn bench_queue_ties() -> f64 {
+    let (s, popped) = median_time_s(timing_reps(), || {
+        let mut q = EventQueue::with_capacity(TIED_EVENTS);
+        for i in 0..TIED_EVENTS {
+            q.push(0.0, 0, i);
+        }
+        std::iter::from_fn(|| q.pop_due(0.0)).count()
+    });
+    assert_eq!(popped, TIED_EVENTS, "tied drain lost events");
+    s / usize_to_f64(TIED_EVENTS) * 1e9
+}
+
 struct LintTiming {
     wall_s: f64,
     files_scanned: usize,
@@ -486,6 +512,7 @@ struct Measured {
     sweep: SweepTiming,
     fabric: FabricTiming,
     lint: LintTiming,
+    queue_ties_ns: f64,
     host_parallelism: usize,
 }
 
@@ -635,6 +662,26 @@ fn check_against_baseline(m: &Measured, baseline: &str) -> Vec<String> {
         println!("  skip lint band: baseline predates the lint section");
     }
 
+    // Tied drain: ns/event at a fixed size, so the band applies in every
+    // mode. Catches an O(n) per-pop bucket scan (≈180x at this n).
+    // Guarded on the section existing.
+    if let Some(base_ns) =
+        json_section(baseline, "queue_ties").and_then(|s| json_number(s, "ns_per_event"))
+    {
+        checked += 1;
+        let line = format!(
+            "tied drain: {:.1} ns/event vs baseline {base_ns:.1}",
+            m.queue_ties_ns
+        );
+        if m.queue_ties_ns > base_ns * CHECK_BAND {
+            failures.push(format!("FAIL {line} (band {CHECK_BAND}x)"));
+        } else {
+            println!("  ok   {line}");
+        }
+    } else {
+        println!("  skip queue_ties band: baseline predates the queue_ties section");
+    }
+
     // Sweep parallelism: a 1-core box measures ~1.0x by construction, so
     // only compare when both the baseline host and this host have cores
     // to scale onto.
@@ -729,6 +776,11 @@ fn render_json(m: &Measured) -> String {
         j,
         "  \"lint\": {{\"wall_s\": {:.6}, \"files_scanned\": {}, \"functions_indexed\": {}, \"call_edges\": {}}},",
         m.lint.wall_s, m.lint.files_scanned, m.lint.functions_indexed, m.lint.call_edges,
+    );
+    let _ = writeln!(
+        j,
+        "  \"queue_ties\": {{\"events\": {TIED_EVENTS}, \"ns_per_event\": {:.1}}},",
+        m.queue_ties_ns,
     );
     // A 1-core host's serial-vs-parallel ratio is scheduler noise, not a
     // parallelism signal: mark the row serial-equivalent (`null`) so
@@ -852,6 +904,11 @@ fn main() {
         lint.wall_s, lint.files_scanned, lint.functions_indexed, lint.call_edges,
     );
 
+    let queue_ties_ns = bench_queue_ties();
+    println!(
+        "tied event drain: {queue_ties_ns:.1} ns/event ({TIED_EVENTS} arrivals at t = 0, pop_due)"
+    );
+
     let measured = Measured {
         costing,
         offline,
@@ -861,6 +918,7 @@ fn main() {
         sweep,
         fabric,
         lint,
+        queue_ties_ns,
         host_parallelism,
     };
 

@@ -23,13 +23,15 @@
 //!
 //! [`EventQueue`] is a calendar queue (a hashed timing wheel, Brown 1988):
 //! events hash into time buckets of a calibrated width and a cursor walks
-//! the buckets in time order, giving amortized O(1) push/pop for the
-//! arrival-stream patterns the serving layers generate, versus the heap's
-//! O(log n) sift per operation. The structure is *observably* identical to
-//! the heap: the pop order depends only on the event keys, never on bucket
-//! layout (each pop selects the full-key minimum of the earliest non-empty
-//! bucket, and the floor-based bucket map is monotone in time, so the
-//! earliest bucket always contains the global minimum).
+//! the buckets in time order. Each slot of the wheel is a small min-heap on
+//! the full event key, so spread-out arrival streams push and pop in
+//! amortized O(1) and a bucket of k tied events (every request of an
+//! offline trace arrives at t = 0) pops in O(log k). The structure is
+//! *observably* identical to the heap: the pop order depends only on the
+//! event keys, never on bucket layout (each pop takes the full-key minimum
+//! of the earliest non-empty bucket, and the floor-based bucket map is
+//! monotone in time, so the earliest bucket always contains the global
+//! minimum).
 //!
 //! Determinism contract: all randomness lives *outside* the core — in
 //! seeded traces ([`rng::seeded`](crate::rng::seeded)) and seeded fault
@@ -68,18 +70,30 @@ fn key_cmp(a: (f64, u32, u64), b: (f64, u32, u64)) -> Ordering {
         .then_with(|| a.2.cmp(&b.2))
 }
 
-/// Internal heap entry. `BinaryHeap` is a max-heap, so the `Ord` is the
-/// *reverse* of pop order.
+/// Internal heap entry, shared by both queues. `BinaryHeap` is a
+/// max-heap, so the `Ord` is the *reverse* of pop order.
 struct Entry<T> {
     time: f64,
     priority: u32,
     seq: u64,
+    /// [`EventQueue`] home bucket, computed once at insertion so scans
+    /// never re-derive float quotients; always 0 in [`HeapEventQueue`].
+    bucket: i64,
     payload: T,
 }
 
 impl<T> Entry<T> {
     fn key(&self) -> (f64, u32, u64) {
         (self.time, self.priority, self.seq)
+    }
+
+    fn into_event(self) -> Event<T> {
+        Event {
+            time: self.time,
+            priority: self.priority,
+            seq: self.seq,
+            payload: self.payload,
+        }
     }
 }
 
@@ -154,6 +168,7 @@ impl<T> HeapEventQueue<T> {
             time,
             priority,
             seq,
+            bucket: 0,
             payload,
         });
         seq
@@ -161,12 +176,7 @@ impl<T> HeapEventQueue<T> {
 
     /// Remove and return the next event in `(time, priority, seq)` order.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        self.heap.pop().map(|e| Event {
-            time: e.time,
-            priority: e.priority,
-            seq: e.seq,
-            payload: e.payload,
-        })
+        self.heap.pop().map(Entry::into_event)
     }
 
     /// Time of the next event without removing it.
@@ -227,37 +237,14 @@ impl<T: std::fmt::Debug> std::fmt::Debug for HeapEventQueue<T> {
 }
 
 /// Queue size at which the calendar first calibrates its bucket width and
-/// spreads out of the single bootstrap bucket. Below this a linear scan of
-/// one bucket beats any wheel bookkeeping.
+/// spreads out of the single bootstrap bucket. Below this one small heap
+/// beats any wheel bookkeeping.
 const CALIBRATE_LEN: usize = 32;
 
 /// Upper bound on the bucket array — past this the calendar stops
-/// doubling and accepts longer per-bucket chains (2^20 buckets already
-/// covers million-event traces at ~1 event/bucket).
+/// doubling and accepts fuller buckets (2^20 buckets already covers
+/// million-event traces at ~1 event/bucket).
 const MAX_SLOTS: usize = 1 << 20;
-
-/// Calendar entry: the event key and payload plus its home bucket number,
-/// computed once at insertion so scans never re-derive float quotients.
-struct WheelEntry<T> {
-    time: f64,
-    priority: u32,
-    seq: u64,
-    bucket: i64,
-    payload: T,
-}
-
-/// Location of the current minimum — memoized so repeated
-/// [`EventQueue::peek_time`] calls (the promote-arrivals loop does one per
-/// scheduler iteration) cost O(1) instead of a bucket walk.
-#[derive(Clone, Copy)]
-struct MinLoc {
-    time: f64,
-    priority: u32,
-    seq: u64,
-    bucket: i64,
-    slot: usize,
-    idx: usize,
-}
 
 /// A discrete-event queue with a total pop order on `(time, priority,
 /// seq)`, backed by a calendar of time buckets (a hashed timing wheel).
@@ -278,23 +265,28 @@ struct MinLoc {
 ///   previous invariant shows is a lower bound for everything remaining.
 ///   The pop scan may therefore start at the cursor without ever skipping
 ///   an earlier event.
-/// * **Full-key selection.** Within the first non-empty bucket the pop
-///   selects the minimum by the *full* `(time, priority, seq)` key, so
-///   the result is independent of per-bucket layout — the queue is
-///   deterministic by construction and bit-identical to
-///   [`HeapEventQueue`] (pinned by `tests/tests/prop_queue_diff.rs`).
+/// * **Full-key selection.** Each slot is a min-heap on the *full*
+///   `(time, priority, seq)` key, so the pop takes the full-key minimum
+///   of the first non-empty bucket and the result is independent of
+///   per-bucket layout — the queue is deterministic by construction and
+///   bit-identical to [`HeapEventQueue`] (pinned by
+///   `tests/tests/prop_queue_diff.rs`). A slot also holds later laps of
+///   the calendar, but never an earlier one (scans stay within one lap
+///   from the cursor), and by the monotone bucket map every entry of
+///   bucket `b` sorts before every later-lap entry: a slot's top is the
+///   bucket-`b` minimum exactly when its bucket is `b`.
 /// * **Saturation safety.** Times whose quotient exceeds the `i64` range
 ///   (including ±∞, which the serving layers use as sentinels) saturate
 ///   into the extreme buckets. Saturation is monotone, so order is still
 ///   decided correctly — by the full-key comparison within the merged
 ///   extreme bucket.
 ///
-/// Steady-state pushes and pops allocate nothing: a pop is a
-/// `swap_remove`, and a push appends into a bucket whose `Vec` retains
-/// its high-water capacity. Allocation happens only when a bucket first
-/// grows and on the O(log n) doubling rebuilds
-/// (`tests/tests/alloc_steady_state.rs` pins this with a counting
-/// allocator).
+/// A pop costs O(log k) in a bucket of k events: a heap pop of the slot,
+/// plus the cursor walk to the next non-empty bucket. Steady-state pushes
+/// and pops allocate nothing: a slot heap retains its high-water capacity
+/// across pops. Allocation happens only when a slot first grows and on the
+/// O(log n) doubling rebuilds (`tests/tests/alloc_steady_state.rs` pins
+/// this with a counting allocator).
 ///
 /// ```
 /// use dcm_core::sim::EventQueue;
@@ -306,8 +298,8 @@ struct MinLoc {
 /// assert_eq!(order, ["early-high-class", "early-low-class", "late"]);
 /// ```
 pub struct EventQueue<T> {
-    /// Bucket array; `slots.len()` is a power of two.
-    slots: Vec<Vec<WheelEntry<T>>>,
+    /// Bucket array of full-key min-heaps; `slots.len()` is a power of two.
+    slots: Vec<BinaryHeap<Entry<T>>>,
     /// `slots.len() - 1`, for the bucket→slot masking.
     mask: i64,
     /// Bucket width in seconds; calibrated to the mean inter-event gap at
@@ -318,8 +310,11 @@ pub struct EventQueue<T> {
     cursor: i64,
     len: usize,
     next_seq: u64,
-    /// Memoized location of the minimum entry (`None` = not computed).
-    cached_min: Cell<Option<MinLoc>>,
+    /// Memoized slot whose top is the minimum entry (`None` = not
+    /// computed), so repeated [`EventQueue::peek_time`] calls (the
+    /// promote-arrivals loop does one per scheduler iteration) cost O(1)
+    /// instead of a bucket walk.
+    cached_min: Cell<Option<usize>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -342,7 +337,7 @@ impl<T> EventQueue<T> {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slots: vec![Vec::with_capacity(capacity)],
+            slots: vec![BinaryHeap::with_capacity(capacity)],
             mask: 0,
             width: 1.0,
             cursor: i64::MAX,
@@ -411,7 +406,7 @@ impl<T> EventQueue<T> {
         let nslots = n.next_power_of_two().clamp(64, MAX_SLOTS);
         let old = std::mem::take(&mut self.slots);
         // dcm-lint: allow(A1) rebuild doubles capacity, amortized O(1)/event; asserted by alloc_steady_state.rs
-        self.slots = (0..nslots).map(|_| Vec::new()).collect();
+        self.slots = (0..nslots).map(|_| BinaryHeap::new()).collect();
         // dcm-lint: allow(C1) nslots ≤ 2^20, exactly representable
         self.mask = (nslots - 1) as i64;
         self.cursor = i64::MAX;
@@ -421,7 +416,7 @@ impl<T> EventQueue<T> {
                 self.cursor = self.cursor.min(bucket);
                 let slot = self.slot_of(bucket);
                 // dcm-lint: allow(A1) redistribution during amortized rebuild; asserted by alloc_steady_state.rs
-                self.slots[slot].push(WheelEntry { bucket, ..e });
+                self.slots[slot].push(Entry { bucket, ..e });
             }
         }
         self.cached_min.set(None);
@@ -441,36 +436,30 @@ impl<T> EventQueue<T> {
         }
         let bucket = Self::bucket_of(time, self.width);
         let slot = self.slot_of(bucket);
-        // dcm-lint: allow(A1) slot vecs retain capacity across pops; steady state asserted by alloc_steady_state.rs
-        self.slots[slot].push(WheelEntry {
+        let entry = Entry {
             time,
             priority,
             seq,
             bucket,
             payload,
-        });
-        self.len += 1;
-        self.cursor = self.cursor.min(bucket);
+        };
         if let Some(m) = self.cached_min.get() {
-            if key_cmp((time, priority, seq), (m.time, m.priority, m.seq)) == Ordering::Less {
-                self.cached_min.set(Some(MinLoc {
-                    time,
-                    priority,
-                    seq,
-                    bucket,
-                    slot,
-                    idx: self.slots[slot].len() - 1,
-                }));
+            if self.slots[m].peek().is_some_and(|top| entry > *top) {
+                self.cached_min.set(Some(slot));
             }
         }
+        // dcm-lint: allow(A1) slot heaps retain capacity across pops; steady state asserted by alloc_steady_state.rs
+        self.slots[slot].push(entry);
+        self.len += 1;
+        self.cursor = self.cursor.min(bucket);
         seq
     }
 
-    /// Locate the minimum entry: walk buckets from the cursor (one year =
-    /// one lap of the bucket array), falling back to a direct scan when
-    /// the calendar is sparse. Memoized in `cached_min`; read-only
-    /// otherwise, so peeks can share it.
-    fn find_min(&self) -> Option<MinLoc> {
+    /// Locate the slot whose top is the minimum entry: walk buckets from
+    /// the cursor (one year = one lap of the bucket array), falling back
+    /// to the lowest slot top when the calendar is sparse. Memoized in
+    /// `cached_min`; read-only otherwise, so peeks can share it.
+    fn find_min(&self) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
@@ -485,76 +474,38 @@ impl<T> EventQueue<T> {
             else {
                 break;
             };
-            if let Some(m) = self.min_in_bucket(b) {
-                self.cached_min.set(Some(m));
-                return Some(m);
+            // The top of a slot is its bucket-`b` minimum iff it is homed
+            // in `b`; otherwise the slot holds only later laps.
+            let slot = self.slot_of(b);
+            if self.slots[slot].peek().is_some_and(|top| top.bucket == b) {
+                self.cached_min.set(Some(slot));
+                return Some(slot);
             }
         }
-        // Sparse year: direct search. The bucket map is monotone in time,
-        // so the global full-key minimum is also in the lowest bucket.
-        let mut best: Option<MinLoc> = None;
-        for (slot, entries) in self.slots.iter().enumerate() {
-            for (idx, e) in entries.iter().enumerate() {
-                let candidate = (e.time, e.priority, e.seq);
-                if best.is_none_or(|m| key_cmp(candidate, (m.time, m.priority, m.seq)).is_lt()) {
-                    best = Some(MinLoc {
-                        time: e.time,
-                        priority: e.priority,
-                        seq: e.seq,
-                        bucket: e.bucket,
-                        slot,
-                        idx,
-                    });
-                }
-            }
-        }
+        // Sparse year: the global full-key minimum is the greatest slot
+        // top under the heap's reversed `Ord`.
+        let best = (0..self.slots.len())
+            .filter_map(|slot| self.slots[slot].peek().map(|top| (top, slot)))
+            .max_by(|a, b| a.0.cmp(b.0))
+            .map(|(_, slot)| slot);
         self.cached_min.set(best);
-        best
-    }
-
-    /// Full-key minimum among the entries homed in bucket `b`, if any.
-    fn min_in_bucket(&self, b: i64) -> Option<MinLoc> {
-        let slot = self.slot_of(b);
-        let mut best: Option<MinLoc> = None;
-        for (idx, e) in self.slots[slot].iter().enumerate() {
-            if e.bucket != b {
-                continue; // a different lap of the calendar
-            }
-            let candidate = (e.time, e.priority, e.seq);
-            if best.is_none_or(|m| key_cmp(candidate, (m.time, m.priority, m.seq)).is_lt()) {
-                best = Some(MinLoc {
-                    time: e.time,
-                    priority: e.priority,
-                    seq: e.seq,
-                    bucket: b,
-                    slot,
-                    idx,
-                });
-            }
-        }
         best
     }
 
     /// Remove and return the next event in `(time, priority, seq)` order.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        let m = self.find_min()?;
+        let slot = self.find_min()?;
         self.cached_min.set(None);
-        self.cursor = m.bucket;
+        let e = self.slots[slot].pop()?;
+        self.cursor = e.bucket;
         self.len -= 1;
-        let e = self.slots[m.slot].swap_remove(m.idx);
-        debug_assert_eq!(e.seq, m.seq, "cached minimum desynced from storage");
-        Some(Event {
-            time: e.time,
-            priority: e.priority,
-            seq: e.seq,
-            payload: e.payload,
-        })
+        Some(e.into_event())
     }
 
     /// Time of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<f64> {
-        self.find_min().map(|m| m.time)
+        self.top().map(|e| e.time)
     }
 
     /// Pop the next event only if it is due at or before `horizon`
@@ -562,7 +513,7 @@ impl<T> EventQueue<T> {
     /// return `None`. See [`HeapEventQueue::pop_due`] — the reference
     /// semantics are pinned lockstep in `prop_queue_diff.rs`. The
     /// `find_min` result is memoized, so a declined pop costs one
-    /// cached comparison, not a bucket scan.
+    /// cached comparison, not a bucket walk.
     pub fn pop_due(&mut self, horizon: f64) -> Option<Event<T>> {
         if self.peek_time()? <= horizon {
             self.pop()
@@ -574,7 +525,12 @@ impl<T> EventQueue<T> {
     /// Payload of the next event without removing it.
     #[must_use]
     pub fn peek(&self) -> Option<&T> {
-        self.find_min().map(|m| &self.slots[m.slot][m.idx].payload)
+        self.top().map(|e| &e.payload)
+    }
+
+    /// The minimum entry, left in place.
+    fn top(&self) -> Option<&Entry<T>> {
+        self.slots[self.find_min()?].peek()
     }
 
     /// Number of scheduled events.
@@ -697,6 +653,23 @@ mod tests {
         }
         let order: Vec<usize> = q.drain_ordered().into_iter().map(|e| e.payload).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_tied_bucket_pops_in_seq_order_across_rebuilds() {
+        // 16 384 events at one (time, priority) cross every doubling
+        // rebuild from the bootstrap bucket up, and all stay in one
+        // bucket: the slot heap alone must give back push order.
+        const N: u64 = 16_384;
+        let mut q = EventQueue::new();
+        for i in 0..N {
+            assert_eq!(q.push(0.0, 4, i), i);
+        }
+        for i in 0..N {
+            let e = q.pop().unwrap();
+            assert_eq!((e.seq, e.payload), (i, i));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -57,10 +57,10 @@
 //! shed / failed accounting. `run` is exactly `run_resilient` with the
 //! empty plan and default config, bit for bit.
 
-use crate::dataset::Request;
+use crate::dataset::{validate_trace, Request};
 use crate::engine::{self, ServingEngine, ServingReport, SimState};
 use crate::fault::{FaultPlan, ResilienceConfig, TimelineKind};
-use dcm_core::error::{DcmError, Result};
+use dcm_core::error::Result;
 use dcm_core::metrics::{LatencyRecorder, MetricsMode};
 use dcm_core::sim::EventQueue;
 use dcm_core::specs::DeviceSpec;
@@ -683,9 +683,9 @@ impl Cluster {
     /// default [`ResilienceConfig`], bit for bit.
     ///
     /// # Errors
-    /// Returns [`DcmError::InvalidConfig`] for an empty trace and
-    /// propagates any replica error (e.g. a request exceeding a
-    /// replica's KV capacity).
+    /// Returns [`DcmError::InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
+    /// for an empty trace or a non-finite `arrival_s` and propagates any
+    /// replica error (e.g. a request exceeding a replica's KV capacity).
     pub fn run(&mut self, requests: &[Request]) -> Result<ClusterReport> {
         self.run_resilient(requests, &FaultPlan::none(), &ResilienceConfig::default())
     }
@@ -718,9 +718,9 @@ impl Cluster {
     /// completed requests.
     ///
     /// # Errors
-    /// Returns [`DcmError::InvalidConfig`] for an empty trace or an
-    /// invalid plan (see [`FaultPlan::validate`]) and propagates any
-    /// replica error.
+    /// Returns [`DcmError::InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
+    /// for an empty trace, a non-finite `arrival_s` or an invalid plan (see
+    /// [`FaultPlan::validate`]) and propagates any replica error.
     pub fn run_resilient(
         &mut self,
         requests: &[Request],
@@ -755,9 +755,7 @@ impl Cluster {
         cfg: &ResilienceConfig,
         traced: bool,
     ) -> Result<(ClusterReport, Vec<Span>)> {
-        if requests.is_empty() {
-            return Err(DcmError::InvalidConfig("empty request trace".to_owned()));
-        }
+        validate_trace(requests)?;
         plan.validate(self.replicas.len())?;
 
         let n = self.replicas.len();
@@ -1182,6 +1180,24 @@ mod tests {
     #[test]
     fn empty_trace_is_an_error() {
         assert!(cluster(2, RoutingPolicy::RoundRobin).run(&[]).is_err());
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_config_errors() {
+        use dcm_core::error::DcmError;
+        for bad in [f64::NAN, f64::INFINITY] {
+            let reqs = [
+                Request::new(0, 128, 4),
+                Request {
+                    arrival_s: bad,
+                    ..Request::new(1, 128, 4)
+                },
+            ];
+            let err = cluster(1, RoutingPolicy::RoundRobin)
+                .run(&reqs)
+                .unwrap_err();
+            assert!(matches!(err, DcmError::InvalidConfig(_)), "{bad}: {err:?}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! processes are seeded and deterministic so every figure regenerates
 //! bit-identically.
 
+use dcm_core::error::{DcmError, Result};
 use dcm_core::rng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -49,15 +50,36 @@ impl Request {
     /// The same request arriving at `arrival_s`.
     ///
     /// # Panics
-    /// Panics on a negative or NaN arrival time.
+    /// Panics on a negative or non-finite arrival time.
     #[must_use]
     pub fn with_arrival(mut self, arrival_s: f64) -> Self {
         assert!(
-            arrival_s >= 0.0 && !arrival_s.is_nan(),
-            "arrival time must be non-negative, got {arrival_s}"
+            arrival_s >= 0.0 && arrival_s.is_finite(),
+            "arrival time must be non-negative and finite, got {arrival_s}"
         );
         self.arrival_s = arrival_s;
         self
+    }
+}
+
+/// The checks every serving entry point applies to a trace before it
+/// schedules anything: the trace is non-empty and every arrival time is
+/// finite. A NaN arrival has no place in the event order, and a `+inf`
+/// one would never be served, breaking `completed + shed + failed ==
+/// offered`.
+///
+/// # Errors
+/// Returns [`DcmError::InvalidConfig`] naming the first offending request.
+pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
+    if requests.is_empty() {
+        return Err(DcmError::InvalidConfig("empty request trace".to_owned()));
+    }
+    match requests.iter().find(|r| !r.arrival_s.is_finite()) {
+        Some(r) => Err(DcmError::InvalidConfig(format!(
+            "request {} has non-finite arrival time {}",
+            r.id, r.arrival_s
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -329,5 +351,11 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_arrival_is_rejected() {
         let _ = Request::new(0, 1, 1).with_arrival(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_arrival_is_rejected() {
+        let _ = Request::new(0, 1, 1).with_arrival(f64::INFINITY);
     }
 }

@@ -31,7 +31,7 @@
 //! percentiles and queueing delay for the online experiments.
 
 use crate::attention::{BatchStats, PagedAttention, PagedBackend, DEFAULT_BLOCK_TOKENS};
-use crate::dataset::Request;
+use crate::dataset::{validate_trace, Request};
 use crate::fault::SloSpec;
 use crate::kv_cache::PagedKvCache;
 use crate::slab::{SeqSlab, SlotId};
@@ -1072,7 +1072,7 @@ impl ServingEngine {
     /// # Errors
     /// Returns [`DcmError::ResourceExhausted`] if a single request alone
     /// cannot fit in the KV cache, or [`DcmError::InvalidConfig`] for an
-    /// empty trace.
+    /// empty trace or a non-finite `arrival_s`.
     pub fn run(&mut self, requests: &[Request]) -> Result<ServingReport> {
         Ok(self.run_impl(requests, false)?.0)
     }
@@ -1095,9 +1095,7 @@ impl ServingEngine {
         requests: &[Request],
         traced: bool,
     ) -> Result<(ServingReport, Vec<Span>)> {
-        if requests.is_empty() {
-            return Err(DcmError::InvalidConfig("empty request trace".to_owned()));
-        }
+        validate_trace(requests)?;
         let mut sim = self.make_sim(requests.len())?;
         if traced {
             sim.trace = TraceRecorder::enabled(0);
@@ -1495,5 +1493,22 @@ mod tests {
         let report = eng.run(&reqs).unwrap();
         assert_eq!(report.completed, 16);
         assert_eq!(report.total_output_tokens, expected);
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_config_errors() {
+        // Struct literals bypass `Request::with_arrival`'s assert; `run`
+        // must still refuse them before anything is scheduled.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let reqs = [
+                Request::new(0, 128, 4),
+                Request {
+                    arrival_s: bad,
+                    ..Request::new(1, 128, 4)
+                },
+            ];
+            let err = engine(PagedBackend::GaudiOpt, 4).run(&reqs).unwrap_err();
+            assert!(matches!(err, DcmError::InvalidConfig(_)), "{bad}: {err:?}");
+        }
     }
 }

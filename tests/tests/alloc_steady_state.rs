@@ -5,7 +5,9 @@
 //! windows must allocate **zero** times:
 //!
 //! * the timing-wheel event queue under hold-model churn (pop-min, push
-//!   successor) — pre-sizing plus per-slot `swap_remove` reuse;
+//!   successor) and under tied-bucket churn (pop one of K events at one
+//!   instant, re-push it there) — pre-sizing plus slot heaps that keep
+//!   their capacity across pops;
 //! * the sequence slab under admit/complete churn — free-list reuse;
 //! * `BatchStats` under add/grow/remove churn — the sorted-vec histogram
 //!   retains capacity across boundary crossings.
@@ -81,6 +83,28 @@ fn hot_paths_are_allocation_free_after_warmup() {
         wheel_allocs, 0,
         "timing wheel allocated {wheel_allocs} times in steady state"
     );
+
+    // --- Timing-wheel event queue: tied-bucket churn ------------------
+    // K events at one instant share one bucket (an offline trace, or a
+    // crash re-routing its orphans); each iteration pops one and re-pushes
+    // it at the same instant, the slot heap shrinking and regrowing by one.
+    let mut tied: EventQueue<u64> = EventQueue::with_capacity(K);
+    for i in 0..K {
+        tied.push(0.0, 0, u64::try_from(i).expect("small"));
+    }
+    let churn_tied = |q: &mut EventQueue<u64>, iters: usize| {
+        for _ in 0..iters {
+            let e = q.pop_due(0.0).expect("queue holds K tied events");
+            q.push(e.time, e.priority, e.payload);
+        }
+    };
+    churn_tied(&mut tied, 8 * K);
+    let (tied_allocs, ()) = allocations_in(|| churn_tied(&mut tied, 8 * K));
+    assert_eq!(
+        tied_allocs, 0,
+        "timing wheel allocated {tied_allocs} times under tied-bucket churn"
+    );
+    assert_eq!(tied.len(), K);
 
     // --- Sequence slab: admit/complete churn --------------------------
     const BATCH: usize = 16;

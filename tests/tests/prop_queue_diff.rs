@@ -196,6 +196,65 @@ proptest! {
     }
 }
 
+/// One popped event's observable key.
+fn key(e: &dcm_core::sim::Event<u64>) -> PopKey {
+    (e.time.to_bits(), e.priority, e.seq, e.payload)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tied pool at scale: up to 4 096 pushes over at most three instants
+    /// and three priorities, so every event shares its bucket with
+    /// thousands of others and only the per-bucket full-key selection
+    /// orders them. The queues drain instant by instant with `pop_due`,
+    /// and every `repush`-th pop of an original event is pushed back at
+    /// the current instant — the cluster's crash-retry and re-route
+    /// pattern, which lands new events in the bucket being drained.
+    #[test]
+    fn tied_pool_drain_with_repush_is_bit_identical(
+        instants in proptest::collection::vec((0u8..4, 0u16..65535), 1..4),
+        pushes in proptest::collection::vec((0u8..3, 0u8..3), 0..4097),
+        repush in 2usize..8,
+    ) {
+        let times: Vec<f64> = instants
+            .iter()
+            .map(|&(pool, raw)| decode_time(pool, raw))
+            .collect();
+        let mut heap = HeapEventQueue::new();
+        let mut wheel = EventQueue::new();
+        for (i, &(at, priority)) in pushes.iter().enumerate() {
+            let t = times[usize::from(at) % times.len()];
+            let id = u64::try_from(i).expect("small");
+            heap.push(t, u32::from(priority), id);
+            wheel.push(t, u32::from(priority), id);
+        }
+        let originals = u64::try_from(pushes.len()).expect("small");
+        let mut horizons = times.clone();
+        horizons.sort_by(f64::total_cmp);
+        let mut heap_log = Vec::new();
+        let mut wheel_log = Vec::new();
+        for &t in &horizons {
+            while let Some(h) = heap.pop_due(t) {
+                wheel_log.push(wheel.pop_due(t).as_ref().map(key));
+                heap_log.push(Some(key(&h)));
+                if h.payload < originals && heap_log.len() % repush == 0 {
+                    let id = h.payload + originals;
+                    prop_assert_eq!(
+                        heap.push(t, h.priority, id),
+                        wheel.push(t, h.priority, id)
+                    );
+                }
+            }
+            wheel_log.push(wheel.pop_due(t).as_ref().map(key));
+            heap_log.push(None);
+        }
+        prop_assert!(heap.is_empty() && wheel.is_empty());
+        prop_assert!(heap_log.len() >= pushes.len());
+        prop_assert_eq!(heap_log, wheel_log);
+    }
+}
+
 /// A NaN horizon compares false against every head time: `pop_due` must
 /// decline — on both queues — and leave the event in place.
 #[test]
