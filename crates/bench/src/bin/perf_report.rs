@@ -25,7 +25,10 @@
 //! 4. **Tied event drain** — ns/event to push 16 384 arrivals at one
 //!    instant and drain them with `pop_due`, the offline-trace pattern in
 //!    which every event shares one calendar bucket (`queue_ties`).
-//! 5. **Sweep parallelism** — wall-clock for an 8-point cluster sweep
+//! 5. **KV append** — ns per slot-path `PagedKvCache::append_at`, the
+//!    engine's per-token decode-loop call, over a batch-64 wave of
+//!    4 096-token sequences with 128-token blocks (`kv_append`).
+//! 6. **Sweep parallelism** — wall-clock for an 8-point cluster sweep
 //!    evaluated serially (`threads = 1`) vs on the ambient
 //!    [`dcm_core::par::thread_count`]. On a multi-core host the ratio
 //!    approaches the core count; `host_parallelism` is recorded so a
@@ -56,6 +59,7 @@ use dcm_vllm::attention::{BatchStats, PagedAttention, PagedBackend};
 use dcm_vllm::cluster::{Cluster, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
 use dcm_vllm::engine::ServingEngine;
+use dcm_vllm::kv_cache::PagedKvCache;
 use dcm_workloads::llama::LlamaConfig;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -414,6 +418,43 @@ fn bench_queue_ties() -> f64 {
     s / usize_to_f64(TIED_EVENTS) * 1e9
 }
 
+/// The KV append wave: sequences, tokens each grows to, tokens per block.
+const KV_WAVE_BATCH: usize = 64;
+const KV_WAVE_TOKENS: usize = 4096;
+const KV_BLOCK_TOKENS: usize = 128;
+
+/// Cost per slot-path KV append: `KV_WAVE_BATCH` sequences admitted with
+/// one token each grow one token per step, round-robin, to
+/// `KV_WAVE_TOKENS` through `PagedKvCache::append_at` (the call the
+/// engine's decode loop makes per generated token), then are released.
+/// Fixed size in every mode, so the band applies under `DCM_SMOKE` too.
+fn bench_kv_append() -> f64 {
+    let blocks = KV_WAVE_BATCH * KV_WAVE_TOKENS / KV_BLOCK_TOKENS;
+    let mut kv = PagedKvCache::new(blocks, KV_BLOCK_TOKENS);
+    let mut slots = Vec::with_capacity(KV_WAVE_BATCH);
+    let (s, tokens) = median_time_s(timing_reps(), || {
+        for id in (0u64..).take(KV_WAVE_BATCH) {
+            slots.push(kv.admit(id, 1).expect("cache sized for the wave"));
+        }
+        for _ in 1..KV_WAVE_TOKENS {
+            for &slot in &slots {
+                kv.append_at(slot).expect("cache sized for the wave");
+            }
+        }
+        let tokens: usize = slots.iter().map(|&slot| kv.tokens_at(slot)).sum();
+        for slot in slots.drain(..) {
+            kv.release_at(slot);
+        }
+        tokens
+    });
+    assert_eq!(
+        tokens,
+        KV_WAVE_BATCH * KV_WAVE_TOKENS,
+        "KV wave lost tokens"
+    );
+    s / usize_to_f64(KV_WAVE_BATCH * (KV_WAVE_TOKENS - 1)) * 1e9
+}
+
 struct LintTiming {
     wall_s: f64,
     files_scanned: usize,
@@ -513,6 +554,7 @@ struct Measured {
     fabric: FabricTiming,
     lint: LintTiming,
     queue_ties_ns: f64,
+    kv_append_ns: f64,
     host_parallelism: usize,
 }
 
@@ -682,6 +724,27 @@ fn check_against_baseline(m: &Measured, baseline: &str) -> Vec<String> {
         println!("  skip queue_ties band: baseline predates the queue_ties section");
     }
 
+    // Slot-path KV append: ns/append at a fixed size, so the band applies
+    // in every mode. Catches a per-token id lookup or allocation creeping
+    // back into the decode loop's cache call. Guarded on the section
+    // existing.
+    if let Some(base_ns) =
+        json_section(baseline, "kv_append").and_then(|s| json_number(s, "ns_per_append"))
+    {
+        checked += 1;
+        let line = format!(
+            "KV append: {:.2} ns/append vs baseline {base_ns:.2}",
+            m.kv_append_ns
+        );
+        if m.kv_append_ns > base_ns * CHECK_BAND {
+            failures.push(format!("FAIL {line} (band {CHECK_BAND}x)"));
+        } else {
+            println!("  ok   {line}");
+        }
+    } else {
+        println!("  skip kv_append band: baseline predates the kv_append section");
+    }
+
     // Sweep parallelism: a 1-core box measures ~1.0x by construction, so
     // only compare when both the baseline host and this host have cores
     // to scale onto.
@@ -781,6 +844,11 @@ fn render_json(m: &Measured) -> String {
         j,
         "  \"queue_ties\": {{\"events\": {TIED_EVENTS}, \"ns_per_event\": {:.1}}},",
         m.queue_ties_ns,
+    );
+    let _ = writeln!(
+        j,
+        "  \"kv_append\": {{\"batch\": {KV_WAVE_BATCH}, \"tokens\": {KV_WAVE_TOKENS}, \"block_tokens\": {KV_BLOCK_TOKENS}, \"ns_per_append\": {:.2}}},",
+        m.kv_append_ns,
     );
     // A 1-core host's serial-vs-parallel ratio is scheduler noise, not a
     // parallelism signal: mark the row serial-equivalent (`null`) so
@@ -909,6 +977,12 @@ fn main() {
         "tied event drain: {queue_ties_ns:.1} ns/event ({TIED_EVENTS} arrivals at t = 0, pop_due)"
     );
 
+    let kv_append_ns = bench_kv_append();
+    println!(
+        "KV append: {kv_append_ns:.2} ns/append (batch {KV_WAVE_BATCH} to {KV_WAVE_TOKENS} tokens, \
+         block {KV_BLOCK_TOKENS}, append_at)"
+    );
+
     let measured = Measured {
         costing,
         offline,
@@ -919,6 +993,7 @@ fn main() {
         fabric,
         lint,
         queue_ties_ns,
+        kv_append_ns,
         host_parallelism,
     };
 

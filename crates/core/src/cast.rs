@@ -1,4 +1,4 @@
-//! Checked float↔integer conversions for simulation code.
+//! Checked float↔integer and `u64`↔`usize` conversions for simulation code.
 //!
 //! Rust's `as` casts between floats and integers are silent: `f64 as
 //! usize` truncates toward zero and saturates, `usize as f64` rounds
@@ -44,6 +44,28 @@ pub fn u64_to_f64(n: u64) -> f64 {
     );
     // dcm-lint: allow(C1) the checked conversion the helper exists to wrap
     n as f64
+}
+
+/// Widen a count to `u64` (byte arithmetic). Lossless: `usize` is at
+/// most 64 bits wide on every target this workspace builds for.
+#[must_use]
+#[inline]
+pub fn usize_to_u64(n: usize) -> u64 {
+    // dcm-lint: allow(C1) the checked conversion the helper exists to wrap
+    n as u64
+}
+
+/// Narrow a `u64` count (a block count derived from bytes) to `usize`,
+/// asserting in debug builds that it fits.
+#[must_use]
+#[inline]
+pub fn u64_to_usize(n: u64) -> usize {
+    debug_assert!(
+        usize::try_from(n).is_ok(),
+        "u64_to_usize({n}): does not fit in usize"
+    );
+    // dcm-lint: allow(C1) the checked conversion the helper exists to wrap
+    n as usize
 }
 
 /// Convert a finite, non-negative, integer-valued `f64` (a rounded rank,
@@ -95,6 +117,7 @@ mod tests {
         }
         for n in [0u64, 1, 1 << 40, 1 << 53] {
             assert_eq!(f64_to_u64(u64_to_f64(n)), n);
+            assert_eq!(usize_to_u64(u64_to_usize(n)), n);
         }
     }
 

@@ -125,12 +125,17 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("SeqSlab", "remove"),
     ("SeqSlab", "set_remaining"),
     ("SeqSlab", "set_produced"),
-    ("SeqSlab", "set_kv_tokens"),
+    ("SeqSlab", "kv_slot"),
     ("BatchStats", "add"),
     ("BatchStats", "remove"),
     ("BatchStats", "grow"),
     ("BatchStats", "grow_by"),
     ("PagedAttention", "decode_cost_from_stats"),
+    ("PagedKvCache", "admit"),
+    ("PagedKvCache", "append_at"),
+    ("PagedKvCache", "append_n_at"),
+    ("PagedKvCache", "tokens_at"),
+    ("PagedKvCache", "release_at"),
     ("PagedKvCache", "append_token"),
     ("PagedKvCache", "append_tokens"),
     ("LatencyRecorder", "record"),

@@ -520,7 +520,7 @@ impl Cluster {
                     None,
                     &[("replica", replica as f64)],
                 );
-                let (orphans, lost) = st.sims[replica].drain_unfinished()?;
+                let (orphans, lost) = st.sims[replica].drain_unfinished();
                 st.lost_tokens += lost;
                 for r in orphans {
                     let tries = st.attempts.entry(r.id).or_insert(0);
@@ -1197,6 +1197,39 @@ mod tests {
                 .run(&reqs)
                 .unwrap_err();
             assert!(matches!(err, DcmError::InvalidConfig(_)), "{bad}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn zero_length_requests_are_config_errors_at_every_fidelity() {
+        use crate::engine::ServingEngine;
+        use dcm_core::error::DcmError;
+        let engine = || {
+            ServingEngine::new(
+                &Device::gaudi2(),
+                LlamaConfig::llama31_8b(),
+                1,
+                PagedBackend::GaudiOpt,
+                8,
+            )
+        };
+        for (input_len, output_len, what) in [(0, 4, "prompt"), (128, 0, "output")] {
+            let reqs = [
+                Request::new(0, 128, 4),
+                Request::new(7, input_len, output_len),
+            ];
+            let expected = format!("invalid configuration: request 7 has a zero-length {what}");
+            let errors = [
+                engine().run(&reqs).unwrap_err(),
+                engine().with_fast_forward(true).run(&reqs).unwrap_err(),
+                cluster(1, RoutingPolicy::RoundRobin)
+                    .run(&reqs)
+                    .unwrap_err(),
+            ];
+            for err in errors {
+                assert!(matches!(err, DcmError::InvalidConfig(_)), "{err:?}");
+                assert_eq!(err.to_string(), expected);
+            }
         }
     }
 

@@ -63,10 +63,12 @@ impl Request {
 }
 
 /// The checks every serving entry point applies to a trace before it
-/// schedules anything: the trace is non-empty and every arrival time is
-/// finite. A NaN arrival has no place in the event order, and a `+inf`
+/// schedules anything: the trace is non-empty, every arrival time is
+/// finite, and every request has a prompt and an output of at least one
+/// token. A NaN arrival has no place in the event order, and a `+inf`
 /// one would never be served, breaking `completed + shed + failed ==
-/// offered`.
+/// offered`. An empty prompt has no prefill to price, and prefill emits
+/// the first output token, so an empty output cannot be served either.
 ///
 /// # Errors
 /// Returns [`DcmError::InvalidConfig`] naming the first offending request.
@@ -74,13 +76,23 @@ pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
     if requests.is_empty() {
         return Err(DcmError::InvalidConfig("empty request trace".to_owned()));
     }
-    match requests.iter().find(|r| !r.arrival_s.is_finite()) {
-        Some(r) => Err(DcmError::InvalidConfig(format!(
-            "request {} has non-finite arrival time {}",
-            r.id, r.arrival_s
-        ))),
-        None => Ok(()),
+    for r in requests {
+        if !r.arrival_s.is_finite() {
+            return Err(DcmError::InvalidConfig(format!(
+                "request {} has non-finite arrival time {}",
+                r.id, r.arrival_s
+            )));
+        }
+        for (len, what) in [(r.input_len, "prompt"), (r.output_len, "output")] {
+            if len == 0 {
+                return Err(DcmError::InvalidConfig(format!(
+                    "request {} has a zero-length {what}",
+                    r.id
+                )));
+            }
+        }
     }
+    Ok(())
 }
 
 /// When requests reach the serving system.

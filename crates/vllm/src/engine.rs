@@ -170,9 +170,9 @@ impl WorkItem {
 pub(crate) struct SimState {
     kv: PagedKvCache,
     /// Incrementally maintained aggregates of the active batch's KV
-    /// token counts — mirrors `kv.tokens_of` for every id in `active`
-    /// (including the failed-append inflation the cache exhibits), so a
-    /// decode step prices in O(1) via
+    /// token counts — mirrors `kv.tokens_at` for every sequence in
+    /// `active` (including the failed-append inflation the cache
+    /// exhibits), so a decode step prices in O(1) via
     /// [`PagedAttention::decode_cost_from_stats`] instead of re-walking
     /// the batch. Invariant pinned by `tests/tests/prop_batch_stats.rs`.
     stats: BatchStats,
@@ -308,11 +308,7 @@ impl SimState {
     /// latency distributions are per-attempt — while the per-request
     /// [`FinishedRequest`] accounting (SLO, goodput) only ever sees the
     /// attempt that completes.
-    ///
-    /// # Errors
-    /// Propagates a KV-cache inconsistency (an active sequence without a
-    /// live allocation), which would indicate an engine bug.
-    pub(crate) fn drain_unfinished(&mut self) -> Result<(Vec<Request>, usize)> {
+    pub(crate) fn drain_unfinished(&mut self) -> (Vec<Request>, usize) {
         let mut lost = 0usize;
         let mut out: Vec<Request> = self
             .arrivals
@@ -327,9 +323,9 @@ impl SimState {
         // Ascending-id order, matching the map-based harvest it replaces.
         // Index loop (not `drain`) so the vector keeps its capacity.
         for i in 0..self.active.len() {
-            let (id, slot) = self.active[i];
+            let slot = self.active[i].1;
             lost += self.slab.produced(slot);
-            self.kv.release(id)?;
+            self.kv.release_at(self.slab.kv_slot(slot));
             out.push(self.slab.remove(slot));
         }
         self.active.clear();
@@ -340,7 +336,7 @@ impl SimState {
                 .total_cmp(&b.arrival_s)
                 .then_with(|| a.id.cmp(&b.id))
         });
-        Ok((out, lost))
+        (out, lost)
     }
 
     fn promote_arrivals(&mut self) {
@@ -624,7 +620,7 @@ impl ServingEngine {
         let w = sim.ready.pop_front().expect("checked non-empty");
         let r = w.request;
         let admit_tokens = w.admit_tokens();
-        sim.kv.admit(r.id, admit_tokens)?;
+        let kv = sim.kv.admit(r.id, admit_tokens)?;
         if w.resumed.is_none() {
             sim.queue_delay.record(sim.clock.now() - r.arrival_s);
         }
@@ -643,7 +639,7 @@ impl ServingEngine {
             Some(r.id),
             &[("tokens", admit_tokens as f64)],
         );
-        sim.kv.append_token(r.id)?;
+        sim.kv.append_at(kv)?;
         let seq = match w.resumed {
             Some(state) => state,
             None => {
@@ -658,7 +654,7 @@ impl ServingEngine {
             }
         };
         if seq.remaining == 0 {
-            sim.kv.release(r.id)?;
+            sim.kv.release_at(kv);
             sim.completed += 1;
             // A single-output-token request has no decode interval:
             // it contributes no TPOT sample (a 0.0 here would drag
@@ -680,12 +676,10 @@ impl ServingEngine {
                 ],
             );
         } else {
-            // dcm-lint: allow(P1) admit(r.id, ..) succeeded just above
-            let kv_tokens = sim.kv.tokens_of(r.id).expect("just admitted");
-            sim.stats.add(kv_tokens);
-            let slot =
-                sim.slab
-                    .insert(r, seq.remaining, seq.first_token_t, seq.produced, kv_tokens);
+            sim.stats.add(sim.kv.tokens_at(kv));
+            let slot = sim
+                .slab
+                .insert(r, seq.remaining, seq.first_token_t, seq.produced, kv);
             sim.active_insert(r.id, slot);
         }
         Ok(())
@@ -743,15 +737,13 @@ impl ServingEngine {
             if !sim.slab.contains(slot) {
                 continue; // preempted earlier in this step (generation check)
             }
-            // `known` shadows the cache's token count for `id` so the
-            // batch stats can be kept in lockstep: the cache counts a
-            // token per append *attempt*, even a failed one. The slab
-            // mirrors the cache count, so no map lookup is needed.
-            let mut known = sim.slab.kv_tokens(slot);
+            // The batch stats grow once per append *attempt*, in lockstep
+            // with the cache, which counts even a failed one's token.
+            let kv = sim.slab.kv_slot(slot);
             loop {
-                let appended = sim.kv.append_token(id).is_ok();
-                sim.stats.grow(known);
-                known += 1;
+                let before = sim.kv.tokens_at(kv);
+                let appended = sim.kv.append_at(kv).is_ok();
+                sim.stats.grow(before);
                 if appended {
                     break;
                 }
@@ -765,12 +757,8 @@ impl ServingEngine {
                     .find(|&&(v, _)| v != id)
                     .copied()
                     .unwrap_or((id, slot));
-                let victim_len = if victim == id {
-                    known
-                } else {
-                    sim.slab.kv_tokens(victim_slot)
-                };
-                sim.stats.remove(victim_len);
+                let victim_kv = sim.slab.kv_slot(victim_slot);
+                sim.stats.remove(sim.kv.tokens_at(victim_kv));
                 let state = ActiveSeq {
                     remaining: sim.slab.remaining(victim_slot),
                     first_token_t: sim.slab.first_token_t(victim_slot),
@@ -778,7 +766,7 @@ impl ServingEngine {
                 };
                 sim.active_remove(victim);
                 let victim_req = sim.slab.remove(victim_slot);
-                sim.kv.release(victim)?;
+                sim.kv.release_at(victim_kv);
                 sim.preemptions += 1;
                 sim.trace.instant(
                     SpanKind::Preemption,
@@ -798,7 +786,6 @@ impl ServingEngine {
             if !sim.slab.contains(slot) {
                 continue; // preempted itself
             }
-            sim.slab.set_kv_tokens(slot, known);
             sim.total_output += 1;
             let remaining = sim.slab.remaining(slot) - 1;
             let produced = sim.slab.produced(slot) + 1;
@@ -818,8 +805,8 @@ impl ServingEngine {
                     tpot_s: Some(tpot),
                     output_tokens: produced,
                 });
-                sim.stats.remove(known);
-                sim.kv.release(id)?;
+                sim.stats.remove(sim.kv.tokens_at(kv));
+                sim.kv.release_at(kv);
                 sim.completed += 1;
                 sim.trace.span(
                     SpanKind::Request,
@@ -893,7 +880,7 @@ impl ServingEngine {
             sim.active
                 .iter()
                 .map(|&(_, slot)| {
-                    let t = sim.slab.kv_tokens(slot);
+                    let t = sim.kv.tokens_at(sim.slab.kv_slot(slot));
                     sim.kv.blocks_for(t + n) - sim.kv.blocks_for(t)
                 })
                 .sum()
@@ -970,11 +957,10 @@ impl ServingEngine {
         let mut ids = std::mem::take(&mut sim.scratch_ids);
         ids.clear();
         ids.extend(sim.active.iter().copied());
-        for &(id, slot) in &ids {
-            let t = sim.slab.kv_tokens(slot);
-            sim.kv.append_tokens(id, n)?; // cannot fail: cap 2
-            sim.stats.grow_by(t, n);
-            sim.slab.set_kv_tokens(slot, t + n);
+        for &(_, slot) in &ids {
+            let kv = sim.slab.kv_slot(slot);
+            sim.stats.grow_by(sim.kv.tokens_at(kv), n);
+            sim.kv.append_n_at(kv, n)?; // cannot fail: cap 2
             sim.slab.set_remaining(slot, sim.slab.remaining(slot) - n);
             sim.slab.set_produced(slot, sim.slab.produced(slot) + n);
         }
@@ -986,7 +972,7 @@ impl ServingEngine {
             }
             let produced = sim.slab.produced(slot);
             let first_token_t = sim.slab.first_token_t(slot);
-            let kv_tokens = sim.slab.kv_tokens(slot);
+            let kv = sim.slab.kv_slot(slot);
             let tpot = (sim.clock.now() - first_token_t) / usize_to_f64(produced - 1);
             sim.tpot.record(tpot);
             sim.active_remove(id);
@@ -997,8 +983,8 @@ impl ServingEngine {
                 tpot_s: Some(tpot),
                 output_tokens: produced,
             });
-            sim.stats.remove(kv_tokens);
-            sim.kv.release(id)?;
+            sim.stats.remove(sim.kv.tokens_at(kv));
+            sim.kv.release_at(kv);
             sim.completed += 1;
             sim.trace.span(
                 SpanKind::Request,
@@ -1023,7 +1009,7 @@ impl ServingEngine {
     fn stretch_time(&mut self, sim: &SimState, batch: usize, n: usize, attn_start: f64) -> f64 {
         let mut end = sim.stats.clone();
         for &(_, slot) in &sim.active {
-            end.grow_by(sim.slab.kv_tokens(slot), n);
+            end.grow_by(sim.kv.tokens_at(sim.slab.kv_slot(slot)), n);
         }
         let attn_end = self.attention.decode_cost_from_stats(&end, 0.0).time();
         (self.nonattn_step_time(batch) + 0.5 * (attn_start + attn_end))

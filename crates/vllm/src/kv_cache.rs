@@ -4,22 +4,83 @@
 //! allocate them on demand as sequences grow, instead of pre-allocating
 //! worst-case contiguous buffers. This eliminates fragmentation and raises
 //! the maximum batch size (§4.2).
+//!
+//! Each live sequence owns one entry of a dense table — its token count
+//! and its block list — addressed by the generational [`KvSlot`] that
+//! [`PagedKvCache::admit`] returns. The serving engine keeps that slot
+//! and appends, reads and releases through it, so its per-token decode
+//! loop never looks a sequence up by id. The cache is the only owner of
+//! per-sequence token counts. A released entry goes on a free list and
+//! keeps its block `Vec`'s capacity, so steady-state serving allocates
+//! nothing. Release bumps the entry's generation: a stale slot panics
+//! instead of touching the entry's next tenant (the pattern of
+//! [`SlotId`](crate::slab::SlotId)).
+//!
+//! A sorted `(id, slot)` index, bounded by the live count, serves the
+//! id-keyed calls (`admit`, `release`, `append_token`, `tokens_of`,
+//! `block_table`, ...): each resolves the id once and runs the slot
+//! path. `tests/tests/prop_kv_diff.rs` pins the cache to the
+//! `BTreeMap`-keyed implementation it replaced.
 
+use dcm_core::cast::{u64_to_usize, usize_to_u64};
 use dcm_core::error::{DcmError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifier of one serving request/sequence.
 pub type SeqId = u64;
 
+/// Generational handle to one live sequence's cache entry. Returned by
+/// [`PagedKvCache::admit`]; invalidated (for panics, not silent reuse)
+/// when the sequence is released.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KvSlot {
+    index: usize,
+    generation: u32,
+}
+
+/// One table entry: a live sequence's state, or a vacant entry waiting
+/// for its next tenant (its `blocks` empty, its capacity kept).
+#[derive(Debug, Clone)]
+struct Entry {
+    id: SeqId,
+    tokens: usize,
+    /// Blocks in allocation order.
+    blocks: Vec<usize>,
+    /// A [`KvSlot`] is live iff its generation matches.
+    generation: u32,
+}
+
 /// A paged KV-cache block manager for one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PagedKvCache {
     block_tokens: usize,
     num_blocks: usize,
     free: Vec<usize>,
-    allocated: BTreeMap<SeqId, Vec<usize>>,
-    seq_tokens: BTreeMap<SeqId, usize>,
+    entries: Vec<Entry>,
+    /// Vacant entry indices, reused LIFO.
+    vacant: Vec<usize>,
+    /// Live sequences as `(id, slot)`, sorted ascending by id.
+    index: Vec<(SeqId, KvSlot)>,
+}
+
+/// Semantic equality: same geometry, same free list, and the same live
+/// ids holding the same token counts and block lists. The table layout
+/// (entry order, vacant entries, generations) does not matter.
+impl PartialEq for PagedKvCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.block_tokens == other.block_tokens
+            && self.num_blocks == other.num_blocks
+            && self.free == other.free
+            && self.index.len() == other.index.len()
+            && self
+                .index
+                .iter()
+                .zip(&other.index)
+                .all(|(&(a, sa), &(b, sb))| {
+                    let (ea, eb) = (self.entry(sa), other.entry(sb));
+                    a == b && ea.tokens == eb.tokens && ea.blocks == eb.blocks
+                })
+    }
 }
 
 impl PagedKvCache {
@@ -34,8 +95,9 @@ impl PagedKvCache {
             block_tokens,
             num_blocks,
             free: (0..num_blocks).rev().collect(),
-            allocated: BTreeMap::new(),
-            seq_tokens: BTreeMap::new(),
+            entries: Vec::new(),
+            vacant: Vec::new(),
+            index: Vec::new(),
         }
     }
 
@@ -51,8 +113,8 @@ impl PagedKvCache {
         block_tokens: usize,
     ) -> Result<Self> {
         let available = hbm_capacity_bytes.saturating_sub(reserved_bytes);
-        let block_bytes = kv_bytes_per_token * block_tokens as u64;
-        let num_blocks = (available / block_bytes.max(1)) as usize;
+        let block_bytes = kv_bytes_per_token * usize_to_u64(block_tokens);
+        let num_blocks = u64_to_usize(available / block_bytes.max(1));
         if num_blocks == 0 {
             return Err(DcmError::ResourceExhausted(format!(
                 "no KV blocks fit: {available} B available, {block_bytes} B per block"
@@ -91,61 +153,199 @@ impl PagedKvCache {
         self.blocks_for(tokens) <= self.free_blocks()
     }
 
-    /// Admit a new sequence holding `tokens` tokens (its prompt).
+    /// The live entry `slot` addresses.
+    fn entry(&self, slot: KvSlot) -> &Entry {
+        let e = &self.entries[slot.index];
+        assert_eq!(e.generation, slot.generation, "stale KV slot {slot:?}");
+        e
+    }
+
+    /// Mutable [`entry`](Self::entry), borrowing only the table so the
+    /// caller can still move blocks to and from the free list.
+    fn entry_mut(entries: &mut [Entry], slot: KvSlot) -> &mut Entry {
+        let e = &mut entries[slot.index];
+        assert_eq!(e.generation, slot.generation, "stale KV slot {slot:?}");
+        e
+    }
+
+    /// The slot of a live sequence.
+    #[must_use]
+    pub fn slot(&self, id: SeqId) -> Option<KvSlot> {
+        self.index
+            .binary_search_by_key(&id, |&(i, _)| i)
+            .ok()
+            .map(|pos| self.index[pos].1)
+    }
+
+    /// [`slot`](Self::slot), or the id-keyed calls' unknown-sequence error.
+    fn slot_of(&self, id: SeqId) -> Result<KvSlot> {
+        self.slot(id)
+            // dcm-lint: allow(A1) format! sits in the ok_or_else closure: cold error path, never runs steady-state
+            .ok_or_else(|| DcmError::InvalidConfig(format!("unknown sequence {id}")))
+    }
+
+    /// Admit a new sequence holding `tokens` tokens (its prompt) and
+    /// return the slot that addresses it until its release.
     ///
     /// # Errors
     /// Returns [`DcmError::ResourceExhausted`] if blocks are unavailable or
     /// [`DcmError::InvalidConfig`] if the id is live.
-    pub fn admit(&mut self, id: SeqId, tokens: usize) -> Result<()> {
-        if self.allocated.contains_key(&id) {
-            return Err(DcmError::InvalidConfig(format!(
-                "sequence {id} already live"
-            )));
-        }
-        let need = self.blocks_for(tokens.max(1));
+    pub fn admit(&mut self, id: SeqId, tokens: usize) -> Result<KvSlot> {
+        let pos = match self.index.binary_search_by_key(&id, |&(i, _)| i) {
+            Ok(_) => {
+                // dcm-lint: allow(A1) duplicate-id error path, never runs steady-state
+                return Err(DcmError::InvalidConfig(format!(
+                    "sequence {id} already live"
+                )));
+            }
+            Err(pos) => pos,
+        };
+        let tokens = tokens.max(1);
+        let need = self.blocks_for(tokens);
         if need > self.free.len() {
+            // dcm-lint: allow(A1) exhaustion error path: admission is checked with can_admit first
             return Err(DcmError::ResourceExhausted(format!(
                 "need {need} blocks, {} free",
                 self.free.len()
             )));
         }
-        let blocks = self.free.split_off(self.free.len() - need);
-        self.allocated.insert(id, blocks);
-        self.seq_tokens.insert(id, tokens.max(1));
+        let blocks = self.free.drain(self.free.len() - need..);
+        let slot = if let Some(index) = self.vacant.pop() {
+            let e = &mut self.entries[index];
+            e.id = id;
+            e.tokens = tokens;
+            e.blocks.extend(blocks);
+            KvSlot {
+                index,
+                generation: e.generation,
+            }
+        } else {
+            // dcm-lint: allow(A1) table growth path: hit only while the live set expands
+            let blocks = blocks.collect();
+            // dcm-lint: allow(A1) table growth path: hit only while the live set expands
+            self.entries.push(Entry {
+                id,
+                tokens,
+                blocks,
+                generation: 0,
+            });
+            KvSlot {
+                index: self.entries.len() - 1,
+                generation: 0,
+            }
+        };
+        // dcm-lint: allow(A1) the index is bounded by the live count, so inserts reuse its capacity
+        self.index.insert(pos, (id, slot));
+        Ok(slot)
+    }
+
+    /// Append one generated token to the sequence at `slot`, allocating a
+    /// new block at block boundaries. The token is counted *before* the
+    /// block check: a failed append still raises the count by one.
+    ///
+    /// # Errors
+    /// Returns [`DcmError::ResourceExhausted`] when out of blocks.
+    ///
+    /// # Panics
+    /// Panics if `slot` is stale.
+    pub fn append_at(&mut self, slot: KvSlot) -> Result<()> {
+        let e = Self::entry_mut(&mut self.entries, slot);
+        e.tokens += 1;
+        if e.tokens > e.blocks.len() * self.block_tokens {
+            let block = self
+                .free
+                .pop()
+                .ok_or_else(|| DcmError::ResourceExhausted("KV cache out of blocks".to_owned()))?;
+            // dcm-lint: allow(A1) block list grows once per block_tokens tokens and keeps its capacity across tenants
+            e.blocks.push(block);
+        }
         Ok(())
     }
 
-    /// Append one generated token to a sequence, allocating a new block at
-    /// block boundaries.
+    /// Append `n` generated tokens to the sequence at `slot` at once — the
+    /// analytic fast-forward's bulk path. Exactly equivalent to `n`
+    /// successive [`append_at`](Self::append_at) calls stopping at the
+    /// first error, including the count-before-fail accounting (the token
+    /// that found no block is still counted) and the block pop order.
+    ///
+    /// # Errors
+    /// Returns [`DcmError::ResourceExhausted`] when the stretch outruns
+    /// the free blocks.
+    ///
+    /// # Panics
+    /// Panics if `slot` is stale.
+    pub fn append_n_at(&mut self, slot: KvSlot, n: usize) -> Result<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        let free = self.free.len();
+        let e = Self::entry_mut(&mut self.entries, slot);
+        let have = e.blocks.len();
+        let extra = (e.tokens + n)
+            .div_ceil(self.block_tokens)
+            .saturating_sub(have);
+        if extra > free {
+            // Mirror the per-token loop's first failure: every free block
+            // was consumed on the way there, and the token that found
+            // none is counted.
+            e.tokens = (have + free) * self.block_tokens + 1;
+            e.blocks.extend(self.free.drain(..).rev()); // pop order
+            return Err(DcmError::ResourceExhausted(
+                "KV cache out of blocks".to_owned(),
+            ));
+        }
+        e.tokens += n;
+        e.blocks.extend(self.free.drain(free - extra..).rev()); // pop order
+        Ok(())
+    }
+
+    /// Release the sequence at `slot`: its blocks return to the free list
+    /// and every outstanding copy of `slot` goes stale.
+    ///
+    /// # Panics
+    /// Panics if `slot` is stale.
+    pub fn release_at(&mut self, slot: KvSlot) {
+        let e = Self::entry_mut(&mut self.entries, slot);
+        e.generation = e.generation.wrapping_add(1);
+        self.free.append(&mut e.blocks); // keeps the entry's capacity
+        if let Ok(pos) = self.index.binary_search_by_key(&e.id, |&(i, _)| i) {
+            self.index.remove(pos);
+        }
+        // dcm-lint: allow(A1) the vacant list never exceeds the table's size, so pushes reuse its capacity
+        self.vacant.push(slot.index);
+    }
+
+    /// Current token count of the sequence at `slot`, including a failed
+    /// append's count.
+    ///
+    /// # Panics
+    /// Panics if `slot` is stale.
+    #[must_use]
+    pub fn tokens_at(&self, slot: KvSlot) -> usize {
+        self.entry(slot).tokens
+    }
+
+    /// Current block list of the sequence at `slot`.
+    ///
+    /// # Panics
+    /// Panics if `slot` is stale.
+    #[must_use]
+    pub fn blocks_at(&self, slot: KvSlot) -> &[usize] {
+        &self.entry(slot).blocks
+    }
+
+    /// [`append_at`](Self::append_at) by id.
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] for unknown sequences or
     /// [`DcmError::ResourceExhausted`] when out of blocks.
     pub fn append_token(&mut self, id: SeqId) -> Result<()> {
-        let tokens = self
-            .seq_tokens
-            .get_mut(&id)
-            // dcm-lint: allow(A1) format! sits in the ok_or_else closure: cold error path, never runs steady-state
-            .ok_or_else(|| DcmError::InvalidConfig(format!("unknown sequence {id}")))?;
-        *tokens += 1;
-        let need = tokens.div_ceil(self.block_tokens);
-        let have = self.allocated[&id].len();
-        if need > have {
-            let block = self
-                .free
-                .pop()
-                .ok_or_else(|| DcmError::ResourceExhausted("KV cache out of blocks".to_owned()))?;
-            // dcm-lint: allow(P1, A1) key verified live above; block list grows once per block_tokens tokens
-            self.allocated.get_mut(&id).expect("checked").push(block);
-        }
-        Ok(())
+        let slot = self.slot_of(id)?;
+        self.append_at(slot)
     }
 
-    /// Append `n` generated tokens to a sequence at once — the analytic
-    /// fast-forward's bulk path. Exactly equivalent to `n` successive
-    /// [`append_token`](Self::append_token) calls stopping at the first
-    /// error, including the count-before-fail accounting (the token that
-    /// found no block is still counted) and the block pop order.
+    /// [`append_n_at`](Self::append_n_at) by id. Appending nothing is a
+    /// no-op that succeeds even for an unknown id.
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] for unknown sequences or
@@ -155,69 +355,36 @@ impl PagedKvCache {
         if n == 0 {
             return Ok(());
         }
-        let start = self
-            .tokens_of(id)
-            // dcm-lint: allow(A1) format! sits in the ok_or_else closure: cold error path, never runs steady-state
-            .ok_or_else(|| DcmError::InvalidConfig(format!("unknown sequence {id}")))?;
-        let have = self.allocated[&id].len();
-        let target = start + n;
-        let extra = self.blocks_for(target).saturating_sub(have);
-        if extra > self.free.len() {
-            // Mirror the per-token loop's first failure: every free block
-            // was consumed on the way there, and the token that found none
-            // is counted.
-            let capacity_tokens = (have + self.free.len()) * self.block_tokens;
-            // dcm-lint: allow(A1) insert overwrites an existing key (seq verified live above): no node allocation
-            self.seq_tokens.insert(id, capacity_tokens + 1);
-            let blocks = std::mem::take(&mut self.free);
-            // dcm-lint: allow(P1) id verified live above
-            let alloc = self.allocated.get_mut(&id).expect("checked live");
-            alloc.extend(blocks.into_iter().rev()); // pop order
-            return Err(DcmError::ResourceExhausted(
-                "KV cache out of blocks".to_owned(),
-            ));
-        }
-        // dcm-lint: allow(A1) insert overwrites an existing key (seq verified live above): no node allocation
-        self.seq_tokens.insert(id, target);
-        if extra > 0 {
-            let from = self.free.len() - extra;
-            // dcm-lint: allow(P1) id verified live above
-            let alloc = self.allocated.get_mut(&id).expect("checked live");
-            alloc.extend(self.free.drain(from..).rev()); // pop order
-        }
-        Ok(())
+        let slot = self.slot_of(id)?;
+        self.append_n_at(slot, n)
     }
 
-    /// Release a completed sequence's blocks.
+    /// [`release_at`](Self::release_at) by id.
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] for unknown sequences.
     pub fn release(&mut self, id: SeqId) -> Result<()> {
-        let blocks = self
-            .allocated
-            .remove(&id)
-            .ok_or_else(|| DcmError::InvalidConfig(format!("unknown sequence {id}")))?;
-        self.free.extend(blocks);
-        self.seq_tokens.remove(&id);
+        let slot = self.slot_of(id)?;
+        self.release_at(slot);
         Ok(())
     }
 
     /// Current block list of a live sequence.
     #[must_use]
     pub fn blocks_of(&self, id: SeqId) -> Option<&[usize]> {
-        self.allocated.get(&id).map(Vec::as_slice)
+        self.slot(id).map(|s| self.blocks_at(s))
     }
 
     /// Current token count of a live sequence.
     #[must_use]
     pub fn tokens_of(&self, id: SeqId) -> Option<usize> {
-        self.seq_tokens.get(&id).copied()
+        self.slot(id).map(|s| self.tokens_at(s))
     }
 
     /// Live sequences.
     #[must_use]
     pub fn live_sequences(&self) -> usize {
-        self.allocated.len()
+        self.index.len()
     }
 
     /// Build the baseline 2-D padded [`crate::block::BlockTable`] over the
@@ -243,12 +410,7 @@ impl PagedKvCache {
 
     fn collect_blocks(&self, ids: &[SeqId]) -> Result<Vec<Vec<usize>>> {
         ids.iter()
-            .map(|id| {
-                self.allocated
-                    .get(id)
-                    .cloned()
-                    .ok_or_else(|| DcmError::InvalidConfig(format!("unknown sequence {id}")))
-            })
+            .map(|&id| Ok(self.blocks_at(self.slot_of(id)?).to_vec()))
             .collect()
     }
 }
@@ -304,6 +466,17 @@ mod tests {
         assert_eq!(bulk.tokens_of(1), Some(13)); // 3 blocks * 4 + 1
                                                  // Unknown id.
         assert!(bulk.append_tokens(9, 1).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "stale KV slot")]
+    fn stale_slot_panics_after_readmission() {
+        let mut c = PagedKvCache::new(4, 4);
+        let a = c.admit(1, 1).unwrap();
+        c.release_at(a);
+        let b = c.admit(2, 1).unwrap();
+        assert_eq!(b.index, a.index, "the entry is reused by the next tenant");
+        let _ = c.append_at(a);
     }
 
     #[test]

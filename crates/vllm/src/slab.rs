@@ -1,13 +1,15 @@
 //! Struct-of-arrays slab for active decode sequences.
 //!
-//! The serving engine's hot decode loop touches four scalars per active
-//! sequence per step (KV token count, remaining budget, produced count,
-//! first-token timestamp). Earlier revisions kept them behind
-//! `BTreeMap<u64, ActiveSeq>` lookups — one pointer chase per access per
-//! step. [`SeqSlab`] stores each field in its own dense column indexed by
+//! The serving engine's hot decode loop touches three scalars and one
+//! KV-cache handle per active sequence per step (remaining budget,
+//! produced count, first-token timestamp, [`KvSlot`]). Earlier revisions
+//! kept them behind `BTreeMap<u64, ActiveSeq>` lookups — one pointer
+//! chase per access per step. [`SeqSlab`] stores each field in its own dense column indexed by
 //! a slot number, so admit / append / preempt / complete become plain
 //! index operations, and a freed slot is recycled through a free list
-//! (steady-state serving allocates nothing).
+//! (steady-state serving allocates nothing). The KV token count is not a
+//! column: the cache owns it, and the engine reads it through the
+//! sequence's [`KvSlot`] without a lookup by id.
 //!
 //! Slots are addressed by a generational [`SlotId`]: removing a sequence
 //! bumps the slot's generation, so a stale id held across a preemption
@@ -19,6 +21,7 @@
 //! (`tests/tests/golden_serving.rs`).
 
 use crate::dataset::Request;
+use crate::kv_cache::KvSlot;
 
 /// Generational handle to one slab slot. Obtained from
 /// [`SeqSlab::insert`]; invalidated (for panics, not UB) by
@@ -43,10 +46,8 @@ pub struct SeqSlab {
     /// Output tokens produced so far (survives preemption via the ready
     /// queue, not the slab).
     produced: Vec<usize>,
-    /// Mirror of the KV cache's token count for this sequence, including
-    /// the cache's failed-append inflation — keeps the decode loop free
-    /// of map lookups into the cache.
-    kv_tokens: Vec<usize>,
+    /// The sequence's KV-cache entry.
+    kv: Vec<KvSlot>,
     /// Current generation of each slot; a [`SlotId`] is live iff its
     /// generation matches.
     generation: Vec<u32>,
@@ -72,7 +73,7 @@ impl SeqSlab {
             remaining: Vec::with_capacity(capacity),
             first_token_t: Vec::with_capacity(capacity),
             produced: Vec::with_capacity(capacity),
-            kv_tokens: Vec::with_capacity(capacity),
+            kv: Vec::with_capacity(capacity),
             generation: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             len: 0,
@@ -121,7 +122,7 @@ impl SeqSlab {
         remaining: usize,
         first_token_t: f64,
         produced: usize,
-        kv_tokens: usize,
+        kv: KvSlot,
     ) -> SlotId {
         self.len += 1;
         if let Some(i) = self.free.pop() {
@@ -129,7 +130,7 @@ impl SeqSlab {
             self.remaining[i] = remaining;
             self.first_token_t[i] = first_token_t;
             self.produced[i] = produced;
-            self.kv_tokens[i] = kv_tokens;
+            self.kv[i] = kv;
             SlotId {
                 index: i,
                 generation: self.generation[i],
@@ -144,7 +145,7 @@ impl SeqSlab {
             // dcm-lint: allow(A1) slab growth path: amortized doubling, hit only while the live set expands
             self.produced.push(produced);
             // dcm-lint: allow(A1) slab growth path: amortized doubling, hit only while the live set expands
-            self.kv_tokens.push(kv_tokens);
+            self.kv.push(kv);
             // dcm-lint: allow(A1) slab growth path: amortized doubling, hit only while the live set expands
             self.generation.push(0);
             SlotId {
@@ -207,62 +208,73 @@ impl SeqSlab {
         self.produced[i] = produced;
     }
 
-    /// Mirrored KV-cache token count (append attempts included).
+    /// The sequence's KV-cache slot.
     #[must_use]
-    pub fn kv_tokens(&self, slot: SlotId) -> usize {
-        self.kv_tokens[self.idx(slot)]
-    }
-
-    /// Set the mirrored KV-cache token count.
-    pub fn set_kv_tokens(&mut self, slot: SlotId, kv_tokens: usize) {
-        let i = self.idx(slot);
-        self.kv_tokens[i] = kv_tokens;
+    pub fn kv_slot(&self, slot: SlotId) -> KvSlot {
+        self.kv[self.idx(slot)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv_cache::PagedKvCache;
 
     fn req(id: u64) -> Request {
         Request::new(id, 128, 16)
     }
 
+    /// Distinct live KV slots from a scratch cache.
+    fn kv_slots(n: u64) -> Vec<KvSlot> {
+        let mut cache = PagedKvCache::new(64, 16);
+        (0..n).map(|id| cache.admit(id, 1).unwrap()).collect()
+    }
+
+    fn kv() -> KvSlot {
+        kv_slots(1)[0]
+    }
+
     #[test]
     fn insert_then_read_back() {
         let mut slab = SeqSlab::new();
-        let a = slab.insert(req(7), 15, 0.25, 1, 129);
+        let k = kv();
+        let a = slab.insert(req(7), 15, 0.25, 1, k);
         assert_eq!(slab.len(), 1);
         assert_eq!(slab.request(a).id, 7);
         assert_eq!(slab.remaining(a), 15);
         assert_eq!(slab.first_token_t(a), 0.25);
         assert_eq!(slab.produced(a), 1);
-        assert_eq!(slab.kv_tokens(a), 129);
+        assert_eq!(slab.kv_slot(a), k);
     }
 
     #[test]
     fn slots_are_independent() {
         let mut slab = SeqSlab::new();
-        let a = slab.insert(req(0), 10, 0.0, 1, 10);
-        let b = slab.insert(req(1), 20, 1.0, 1, 20);
+        let k = kv_slots(2);
+        let a = slab.insert(req(0), 10, 0.0, 1, k[0]);
+        let b = slab.insert(req(1), 20, 1.0, 1, k[1]);
         slab.set_remaining(a, 9);
-        slab.set_kv_tokens(b, 21);
+        slab.set_produced(b, 2);
         assert_eq!(slab.remaining(a), 9);
         assert_eq!(slab.remaining(b), 20);
-        assert_eq!(slab.kv_tokens(a), 10);
-        assert_eq!(slab.kv_tokens(b), 21);
+        assert_eq!(slab.produced(a), 1);
+        assert_eq!(slab.produced(b), 2);
+        assert_eq!(slab.kv_slot(a), k[0]);
+        assert_eq!(slab.kv_slot(b), k[1]);
     }
 
     #[test]
     fn freed_slots_are_reused_lifo_and_capacity_stays_flat() {
         let mut slab = SeqSlab::with_capacity(4);
-        let ids: Vec<SlotId> = (0..4).map(|i| slab.insert(req(i), 1, 0.0, 1, 1)).collect();
+        let ids: Vec<SlotId> = (0..4)
+            .map(|i| slab.insert(req(i), 1, 0.0, 1, kv()))
+            .collect();
         assert_eq!(slab.capacity(), 4);
         slab.remove(ids[1]);
         slab.remove(ids[3]);
         // LIFO reuse: the most recently freed slot (index of ids[3]) first.
-        let c = slab.insert(req(10), 1, 0.0, 1, 1);
-        let d = slab.insert(req(11), 1, 0.0, 1, 1);
+        let c = slab.insert(req(10), 1, 0.0, 1, kv());
+        let d = slab.insert(req(11), 1, 0.0, 1, kv());
         assert_eq!(slab.capacity(), 4, "churn must not grow the slab");
         assert_eq!(slab.len(), 4);
         assert_eq!(slab.request(c).id, 10);
@@ -273,9 +285,9 @@ mod tests {
     #[should_panic(expected = "stale slot id")]
     fn stale_id_panics_after_reuse() {
         let mut slab = SeqSlab::new();
-        let a = slab.insert(req(0), 1, 0.0, 1, 1);
+        let a = slab.insert(req(0), 1, 0.0, 1, kv());
         slab.remove(a);
-        let _b = slab.insert(req(1), 1, 0.0, 1, 1); // same index, new generation
+        let _b = slab.insert(req(1), 1, 0.0, 1, kv()); // same index, new generation
         let _ = slab.remaining(a);
     }
 
@@ -283,7 +295,7 @@ mod tests {
     #[should_panic(expected = "stale slot id")]
     fn double_remove_panics() {
         let mut slab = SeqSlab::new();
-        let a = slab.insert(req(0), 1, 0.0, 1, 1);
+        let a = slab.insert(req(0), 1, 0.0, 1, kv());
         slab.remove(a);
         slab.remove(a);
     }
@@ -291,11 +303,11 @@ mod tests {
     #[test]
     fn contains_tracks_liveness() {
         let mut slab = SeqSlab::new();
-        let a = slab.insert(req(0), 1, 0.0, 1, 1);
+        let a = slab.insert(req(0), 1, 0.0, 1, kv());
         assert!(slab.contains(a));
         slab.remove(a);
         assert!(!slab.contains(a));
-        let b = slab.insert(req(1), 1, 0.0, 1, 1);
+        let b = slab.insert(req(1), 1, 0.0, 1, kv());
         assert!(slab.contains(b));
         assert!(!slab.contains(a), "old generation must stay dead");
     }

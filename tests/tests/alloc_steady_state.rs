@@ -9,6 +9,9 @@
 //!   instant, re-push it there) — pre-sizing plus slot heaps that keep
 //!   their capacity across pops;
 //! * the sequence slab under admit/complete churn — free-list reuse;
+//! * the paged KV cache under admit / per-token append / release churn —
+//!   vacant table entries keep their block lists' capacity and the id
+//!   index stays within the live count;
 //! * `BatchStats` under add/grow/remove churn — the sorted-vec histogram
 //!   retains capacity across boundary crossings.
 //!
@@ -18,6 +21,7 @@
 use dcm_core::sim::EventQueue;
 use dcm_vllm::attention::BatchStats;
 use dcm_vllm::dataset::Request;
+use dcm_vllm::kv_cache::PagedKvCache;
 use dcm_vllm::slab::SeqSlab;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -110,10 +114,12 @@ fn hot_paths_are_allocation_free_after_warmup() {
     const BATCH: usize = 16;
     let mut slab = SeqSlab::with_capacity(BATCH);
     let mut slots = Vec::with_capacity(BATCH);
+    // The slab stores a KV slot per sequence; any live one will do.
+    let kv_slot = PagedKvCache::new(1, 16).admit(0, 1).expect("one block");
     let fill = |slab: &mut SeqSlab, slots: &mut Vec<_>, base: u64| {
         for i in 0..BATCH {
             let id = base + u64::try_from(i).expect("small");
-            slots.push(slab.insert(Request::new(id, 128, 64), 63, 0.5, 1, 129));
+            slots.push(slab.insert(Request::new(id, 128, 64), 63, 0.5, 1, kv_slot));
         }
     };
     fill(&mut slab, &mut slots, 0);
@@ -125,7 +131,7 @@ fn hot_paths_are_allocation_free_after_warmup() {
                 let rem = slab.remaining(s);
                 slab.set_remaining(s, rem.saturating_sub(1));
                 slab.set_produced(s, slab.produced(s) + 1);
-                slab.set_kv_tokens(s, slab.kv_tokens(s) + 1);
+                assert_eq!(slab.kv_slot(s), kv_slot);
             }
             for _ in 0..BATCH / 2 {
                 let s = slots.pop().expect("non-empty");
@@ -133,7 +139,7 @@ fn hot_paths_are_allocation_free_after_warmup() {
             }
             for i in 0..BATCH / 2 {
                 let id = 1_000_000 + r * 64 + u64::try_from(i).expect("small");
-                slots.push(slab.insert(Request::new(id, 128, 64), 63, 0.5, 1, 129));
+                slots.push(slab.insert(Request::new(id, 128, 64), 63, 0.5, 1, kv_slot));
             }
         }
     };
@@ -144,6 +150,45 @@ fn hot_paths_are_allocation_free_after_warmup() {
         "slab allocated {slab_allocs} times in steady state"
     );
     assert_eq!(slab.capacity(), BATCH, "churn must not grow the slab");
+
+    // --- Paged KV cache: admit / append / release churn ---------------
+    // BATCH sequences each append one token per round; every round the
+    // oldest half is released and fresh ids are admitted in its place, so
+    // each sequence lives two rounds and its length stays bounded.
+    const ROUND_TOKENS: usize = 40;
+    let mut kv = PagedKvCache::new(BATCH * 8, 16);
+    let mut live = Vec::with_capacity(BATCH);
+    let mut next_id = 0u64;
+    let mut admit = |kv: &mut PagedKvCache, live: &mut Vec<_>| {
+        let slot = kv.admit(next_id, 48).expect("cache sized for the batch");
+        live.push(slot);
+        next_id += 1;
+    };
+    for _ in 0..BATCH {
+        admit(&mut kv, &mut live);
+    }
+    let mut churn_kv = |kv: &mut PagedKvCache, live: &mut Vec<_>, rounds: usize| {
+        for _ in 0..rounds {
+            for _ in 0..ROUND_TOKENS {
+                for &s in live.iter() {
+                    kv.append_at(s).expect("cache sized for the batch");
+                }
+            }
+            for s in live.drain(..BATCH / 2) {
+                kv.release_at(s);
+            }
+            for _ in 0..BATCH / 2 {
+                admit(kv, live);
+            }
+        }
+    };
+    churn_kv(&mut kv, &mut live, 8);
+    let (kv_allocs, ()) = allocations_in(|| churn_kv(&mut kv, &mut live, 64));
+    assert_eq!(
+        kv_allocs, 0,
+        "KV cache allocated {kv_allocs} times in steady state"
+    );
+    assert_eq!(kv.live_sequences(), BATCH);
 
     // --- BatchStats: add/grow/remove churn ----------------------------
     let mut stats = BatchStats::new(128);

@@ -8,6 +8,7 @@
 //! `golden_serving.rs`, which was captured from the map-based engine.)
 
 use dcm_vllm::dataset::Request;
+use dcm_vllm::kv_cache::{KvSlot, PagedKvCache};
 use dcm_vllm::slab::{SeqSlab, SlotId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -18,7 +19,7 @@ struct ModelSeq {
     remaining: usize,
     first_token_t: f64,
     produced: usize,
-    kv_tokens: usize,
+    kv: KvSlot,
 }
 
 /// The system under test: slab + sorted active vector, mirroring the
@@ -36,7 +37,7 @@ impl SoaState {
             seq.remaining,
             seq.first_token_t,
             seq.produced,
-            seq.kv_tokens,
+            seq.kv,
         );
         let pos = self
             .active
@@ -56,7 +57,7 @@ impl SoaState {
             remaining: self.slab.remaining(slot),
             first_token_t: self.slab.first_token_t(slot),
             produced: self.slab.produced(slot),
-            kv_tokens: self.slab.kv_tokens(slot),
+            kv: self.slab.kv_slot(slot),
         };
         let req = self.slab.remove(slot);
         assert_eq!(req.id, id, "slab returned the wrong tenant");
@@ -71,7 +72,7 @@ impl SoaState {
                 remaining: self.slab.remaining(slot),
                 first_token_t: self.slab.first_token_t(slot),
                 produced: self.slab.produced(slot),
-                kv_tokens: self.slab.kv_tokens(slot),
+                kv: self.slab.kv_slot(slot),
             })
             .collect()
     }
@@ -90,6 +91,8 @@ proptest! {
     ) {
         let mut soa = SoaState::default();
         let mut map: BTreeMap<u64, ModelSeq> = BTreeMap::new();
+        // Hands out the KV slots the slab stores: one per live id.
+        let mut kv = PagedKvCache::new(64, 1 << 20);
         for &(op, id_seed, scalar, t_raw) in &ops {
             match op % 4 {
                 // Admit a new sequence under a fresh id.
@@ -100,7 +103,7 @@ proptest! {
                             remaining: scalar,
                             first_token_t: f64::from(t_raw) * 1e-4,
                             produced: 1,
-                            kv_tokens: 64 + scalar,
+                            kv: kv.admit(id_seed, 64 + scalar).expect("fresh id, free block"),
                         };
                         soa.insert(seq);
                         slot.insert(seq);
@@ -112,7 +115,6 @@ proptest! {
                         let m = map.get_mut(&id).expect("picked live");
                         m.remaining = m.remaining.saturating_sub(1);
                         m.produced += 1;
-                        m.kv_tokens += 1;
                         let pos = soa
                             .active
                             .binary_search_by_key(&id, |&(i, _)| i)
@@ -120,7 +122,6 @@ proptest! {
                         let slot = soa.active[pos].1;
                         soa.slab.set_remaining(slot, m.remaining);
                         soa.slab.set_produced(slot, m.produced);
-                        soa.slab.set_kv_tokens(slot, m.kv_tokens);
                     }
                 }
                 // Preempt the youngest (highest id) — the engine's victim
@@ -134,6 +135,7 @@ proptest! {
                         let expected = map.remove(&v).expect("victim live");
                         let got = soa.remove(v);
                         prop_assert_eq!(got, expected);
+                        kv.release_at(got.kv);
                     }
                 }
                 // Complete an arbitrary live sequence.
@@ -142,6 +144,7 @@ proptest! {
                         let expected = map.remove(&id).expect("picked live");
                         let got = soa.remove(id);
                         prop_assert_eq!(got, expected);
+                        kv.release_at(got.kv);
                     }
                 }
             }

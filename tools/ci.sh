@@ -63,13 +63,13 @@ done
 echo "==> determinism OK"
 
 # Differential suite under an explicit 2-thread override: the wheel-vs-
-# heap, slab-vs-map, histogram, fast-forward (engine- and cluster-level)
-# and flow-vs-closed-form fabric equivalence properties plus the
-# steady-state allocation audit must hold regardless of the parallelism
-# the host advertises.
+# heap, slab-vs-map, KV slot-table-vs-map, histogram, fast-forward
+# (engine- and cluster-level) and flow-vs-closed-form fabric equivalence
+# properties plus the steady-state allocation audit must hold regardless
+# of the parallelism the host advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
-    --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
+    --test prop_queue_diff --test prop_slab_diff --test prop_kv_diff --test prop_histogram \
     --test prop_fast_forward --test prop_cluster_ff --test prop_fabric_diff \
     --test alloc_steady_state
 
